@@ -9,8 +9,8 @@ answers every request with a per-call solve through a warm plan cache
 maintained fixpoint state after one cold solve per distinct pair, and
 coalesces identical concurrent requests inside micro-batches.  The
 headline assertion pins the serving throughput at >= 2x the per-call
-baseline (measured two to three orders of magnitude higher); answers are
-verified equal along the stream.
+baseline (4-19x per pass over nine passes of the full-size workload on a
+2-core VM); answers are verified equal along the stream.
 
 PR 5 adds the **transport race**: the identical CPU-bound
 forced-fixpoint stream through thread-per-shard (GIL-serialized) and

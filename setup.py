@@ -1,7 +1,15 @@
-"""Legacy setup shim (the environment has no `wheel` package; this keeps
-`pip install -e .` on the setup.py-develop path).  All metadata lives in
-pyproject.toml."""
+"""Package metadata for ``repro`` (the sources live under ``src/``).
 
-from setuptools import setup
+A plain setup.py with no pyproject build requirements: the package
+installs offline with ``python setup.py develop`` or ``pip install -e .``
+using the setuptools already present, without fetching an isolated
+build backend.
+"""
 
-setup()
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -8,8 +8,11 @@ it is polynomial in ``|q|`` -- so a serving system should pay it once per
 query.  A :class:`CompiledQuery` is that per-query residue:
 
 * the Theorem 3 classification and the dispatch route it determines;
-* the :class:`~repro.solvers.fixpoint.FixpointTables` of Figure 5;
-* the Claim 5 linear-Datalog program (NL route; lazily for forced ``nl``);
+* the :class:`~repro.solvers.fixpoint.FixpointTables` of Figure 5, which
+  decide every C3 query (FO, NL and PTIME) exactly;
+* the Claim 5 linear-Datalog program, built on first use by the forced
+  ``nl`` method (it is the paper's NL-membership proof, not a fast
+  algorithm, so ``auto`` never runs it);
 * a :class:`SatSkeleton` fixing the falsifying-repair encoding options;
 * lazily on first use: ``NFA(q)``, the ``NFAmin(q)`` DFA, and the
   Lemma 13 FO sentence (inspection artifacts; the hot paths use the
@@ -143,8 +146,6 @@ class CompiledQuery:
         self._datalog: Union[CqaProgram, None, object] = _UNSET
         self._datalog_error: Optional[str] = None
         self._datalog_compact = None
-        if self.complexity is ComplexityClass.NL_COMPLETE:
-            self._build_datalog()
         self._nfa = None
         self._minimal_dfa = None
         self._fo_sentence = _UNSET
@@ -169,7 +170,7 @@ class CompiledQuery:
     @property
     def datalog_program(self) -> Optional[CqaProgram]:
         """The Claim 5 program, or ``None`` when no verified decomposition
-        exists (built on first access for non-NL queries)."""
+        exists (built on first access)."""
         return self._build_datalog()
 
     def _compact_datalog(self, program: CqaProgram):
@@ -220,11 +221,13 @@ class CompiledQuery:
         """Decide CERTAINTY(q) on *db*; per-instance work only.
 
         Semantics match ``certain_answer(db, q, method=method)``: ``auto``
-        dispatches along the Theorem 3 route and records the complexity
-        class in ``details``; forced methods keep their applicability
-        errors (``fo`` on a non-C1 query raises :class:`ValueError`,
-        ``nl`` without a verified decomposition raises
-        :class:`~repro.datalog.cqa_program.UnsupportedQuery`).
+        picks the cheapest exact route for the Theorem 3 class (FO
+        rewriting for FO, the Figure 5 fixpoint for NL and PTIME, SAT
+        behind the fixpoint pre-filter for coNP) and records the
+        complexity class in ``details``; forced methods keep their
+        applicability errors (``fo`` on a non-C1 query raises
+        :class:`ValueError`, ``nl`` without a verified decomposition
+        raises :class:`~repro.datalog.cqa_program.UnsupportedQuery`).
         """
         if method == "auto":
             result = self._solve_auto(db)
@@ -266,21 +269,12 @@ class CompiledQuery:
         complexity = self.complexity
         if complexity is ComplexityClass.FO:
             return certain_answer_fo(db, self.word, check=False)
-        if complexity is ComplexityClass.NL_COMPLETE:
-            program = self._build_datalog()
-            if program is not None:
-                return certain_answer_nl(
-                    db, self.word, program=program,
-                    compiled=self._compact_datalog(program),
-                )
-            result = self._fixpoint(db, require_c3=False)
-            result.details["nl_fallback"] = True
-            return result
-        if complexity is ComplexityClass.PTIME_COMPLETE:
-            return self._fixpoint(db, require_c3=False)
-        return conp_solve(
-            db, self.word, tables=self.tables, skeleton=self.sat_skeleton
-        )
+        if complexity is ComplexityClass.CONP_COMPLETE:
+            return conp_solve(
+                db, self.word, tables=self.tables, skeleton=self.sat_skeleton
+            )
+        # NL and PTIME: Figure 5 decides every C3 query exactly.
+        return self._fixpoint(db, require_c3=False)
 
     def __repr__(self) -> str:
         return "CompiledQuery({!r}, {})".format(str(self.word), self.complexity)

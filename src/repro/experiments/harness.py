@@ -70,49 +70,14 @@ def per_call_reference(db, query, method: str = "auto"):
     """The pre-engine ``certain_answer``: re-classify and dispatch per call.
 
     Kept as the measurable baseline for the compile-once benchmarks: every
-    call re-runs the Theorem 3 classification and the per-query condition
-    checks inside the stock solvers, exactly as ``certain_answer`` did
-    before it routed through the plan cache.
+    call compiles a fresh :class:`~repro.engine.plan.CompiledQuery` --
+    the Theorem 3 classification, the Figure 5 tables and the SAT
+    skeleton -- and then routes exactly as the engine does, so the two
+    paths differ only in the per-query work.
     """
-    from repro.classification.classifier import ComplexityClass, classify
-    from repro.datalog.cqa_program import UnsupportedQuery
-    from repro.engine.plan import conp_solve
-    from repro.solvers.brute_force import certain_answer_brute_force
-    from repro.solvers.fixpoint import certain_answer_fixpoint
-    from repro.solvers.fo_solver import certain_answer_fo
-    from repro.solvers.nl_solver import certain_answer_nl
-    from repro.solvers.sat_encoding import certain_answer_sat
-    from repro.words.word import Word
+    from repro.engine.plan import CompiledQuery
 
-    q = Word.coerce(query)
-    if method == "fo":
-        return certain_answer_fo(db, q)
-    if method == "nl":
-        return certain_answer_nl(db, q)
-    if method == "fixpoint":
-        return certain_answer_fixpoint(db, q)
-    if method == "sat":
-        return certain_answer_sat(db, q)
-    if method == "brute_force":
-        return certain_answer_brute_force(db, q)
-    if method != "auto":
-        raise ValueError("unknown method {!r}".format(method))
-    classification = classify(q)
-    complexity = classification.complexity
-    if complexity is ComplexityClass.FO:
-        result = certain_answer_fo(db, q)
-    elif complexity is ComplexityClass.NL_COMPLETE:
-        try:
-            result = certain_answer_nl(db, q)
-        except UnsupportedQuery:
-            result = certain_answer_fixpoint(db, q)
-            result.details["nl_fallback"] = True
-    elif complexity is ComplexityClass.PTIME_COMPLETE:
-        result = certain_answer_fixpoint(db, q)
-    else:
-        result = conp_solve(db, q)
-    result.details["complexity"] = str(complexity)
-    return result
+    return CompiledQuery(query).solve(db, method)
 
 
 def throughput_comparison(

@@ -63,7 +63,8 @@ def certain_answer_nl(
     ad-hoc callers hit the module caches).  The evaluation runs on the
     compact engine over the instance's interned EDB whenever *db*
     carries a compact view (``DatabaseInstance`` always does); plain
-    overlays fall back to the object-level indexed engine.
+    overlays go through :func:`instance_to_edb` and the same engine's
+    object-level entry, :func:`~repro.datalog.engine.evaluate_program`.
 
     >>> db = DatabaseInstance.from_triples(
     ...     [("R", 0, 1), ("R", 1, 2), ("R", 2, 3), ("R", 3, 4), ("X", 4, 5)])

@@ -10,10 +10,10 @@ representation:
 * :func:`~repro.solvers.fixpoint.fixpoint_bits` (compact kernel) ==
   :func:`~repro.solvers.fixpoint.fixpoint_relation` (object baseline)
   across all four Theorem 2 complexity classes and random instances;
-* :func:`~repro.datalog.engine.evaluate_program_compact` ==
-  :func:`~repro.datalog.engine.evaluate_program` on the Claim 5
-  programs and on handwritten programs with constants, builtins and
-  negation;
+* :func:`~repro.datalog.engine.evaluate_program` (the compact engine's
+  object-level entry) == :func:`~repro.datalog.engine.evaluate_program_naive`
+  (the scan-and-unify oracle) on the Claim 5 programs and on handwritten
+  programs with constants, builtins and negation;
 * ``solve_delta`` update sequences and direct
   :class:`~repro.solvers.fixpoint.FixpointState` maintenance on the
   compact representation (the compact view being patched along the
@@ -36,7 +36,7 @@ from repro.datalog.cqa_program import build_cqa_program, instance_to_edb
 from repro.datalog.engine import (
     compact_program,
     evaluate_program,
-    evaluate_program_compact,
+    evaluate_program_naive,
 )
 from repro.datalog.syntax import Literal, Program, Rule, var
 from repro.db.compact import CompactInstance
@@ -260,9 +260,9 @@ class TestCompactDatalog:
                 conflict_rate=0.4,
             )
             edb = instance_to_edb(db)
-            assert evaluate_program_compact(
+            assert evaluate_program(
                 cqa.program, edb
-            ) == evaluate_program(cqa.program, edb)
+            ) == evaluate_program_naive(cqa.program, edb)
 
     def test_constants_builtins_negation(self):
         x, y = var("X"), var("Y")
@@ -285,14 +285,31 @@ class TestCompactDatalog:
                     Literal("diag", (x,)),
                     (Literal("e", (x, x)),),
                 ),
+                # Recursion above a negation stratum, through a constant.
+                Rule(Literal("reach", (x, y)), (Literal("p", (x, y)),)),
+                Rule(
+                    Literal("reach", (x, y)),
+                    (Literal("reach", (x, "b")), Literal("p", ("b", y))),
+                ),
             ]
         )
         edb = {
             "e": [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d"), ("b", "b")]
         }
-        assert evaluate_program_compact(program, edb) == evaluate_program(
+        assert evaluate_program(program, edb) == evaluate_program_naive(
             program, edb
         )
+        rng = random.Random(0x9E6)
+        for _ in range(8):
+            edb = {
+                "e": [
+                    (rng.choice("abcdefg"), rng.choice("abcdefg"))
+                    for _ in range(rng.randint(1, 12))
+                ]
+            }
+            assert evaluate_program(program, edb) == evaluate_program_naive(
+                program, edb
+            ), edb
 
     def test_compact_program_memoized(self):
         program = build_cqa_program("RRX").program

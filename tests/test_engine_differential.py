@@ -12,22 +12,27 @@ queries spanning all four Theorem 2 complexity classes, the engine's
   "no" answers must still imply the engine's "no" -- Lemma 10 soundness);
 
 and ``solve_batch`` (sequential and ``workers=2``) must agree with
-``solve``.
+``solve``.  Under ``auto``, NL-complete queries run the Figure 5 fixpoint
+and leave the Claim 5 program unbuilt.
 """
 
 import random
 
 import pytest
 
+from repro.classification.classifier import ComplexityClass
 from repro.classification.conditions import satisfies_c1, satisfies_c3
 from repro.db.repairs import count_repairs
-from repro.engine import CertaintyEngine
+from repro.datalog.cqa_program import build_cqa_program
+from repro.engine import CertaintyEngine, CompiledQuery
+from repro.engine import plan as plan_module
 from repro.solvers.brute_force import certain_answer_brute_force
 from repro.solvers.fixpoint import certain_answer_fixpoint
 from repro.solvers.fo_solver import certain_answer_fo
 from repro.solvers.nl_solver import certain_answer_nl, nl_supported
 from repro.solvers.sat_encoding import certain_answer_sat
 from repro.workloads.generators import planted_instance, random_instance
+from repro.workloads.queries import PAPER_QUERY_CLASSES
 
 #: Two queries per Theorem 2 complexity class.
 CLASS_QUERIES = [
@@ -150,6 +155,49 @@ class TestBatchEqualsSequential:
         assert results[3].method == "generalized"
         # The three spellings of RRX share one compiled plan.
         assert engine.cache_info()["compiles"] <= 3
+
+
+NL_CATALOG = [
+    query
+    for query, cls in PAPER_QUERY_CLASSES.items()
+    if cls is ComplexityClass.NL_COMPLETE
+]
+
+
+class TestNlRouting:
+    """``auto`` answers NL-complete queries with the Figure 5 fixpoint;
+    the Claim 5 program is built only when ``method="nl"`` asks for it."""
+
+    @pytest.mark.parametrize("query", NL_CATALOG)
+    def test_auto_runs_fixpoint_without_claim5(self, query, monkeypatch):
+        def unexpected(word):
+            raise AssertionError("auto built the Claim 5 program")
+
+        monkeypatch.setattr(plan_module, "build_cqa_program", unexpected)
+        plan = CompiledQuery(query)
+        for db in _workload(query, seed=0x2017E + len(query), trials=3):
+            truth = certain_answer_brute_force(db, query).answer
+            result = plan.solve(db)
+            assert result.method == "fixpoint"
+            assert result.answer == truth
+
+    @pytest.mark.parametrize("query", NL_CATALOG)
+    def test_forced_nl_builds_claim5_once(self, query, monkeypatch):
+        builds = []
+
+        def counted(word):
+            builds.append(word)
+            return build_cqa_program(word)
+
+        monkeypatch.setattr(plan_module, "build_cqa_program", counted)
+        plan = CompiledQuery(query)
+        assert builds == []
+        for db in _workload(query, seed=0xC1A15 + len(query), trials=3):
+            forced = plan.solve(db, method="nl")
+            assert forced.method == "nl"
+            truth = certain_answer_brute_force(db, query).answer
+            assert forced.answer == truth
+        assert len(builds) == 1
 
 
 @pytest.mark.slow

@@ -250,10 +250,12 @@ class TestAdmissionControl:
 
     def test_server_max_in_flight_sheds(self):
         async def scenario():
-            # One shard, huge assembly delay: the first request parks in
-            # batch assembly, so the rest exceed the in-flight cap.
+            # The four tasks take their first step in one loop iteration:
+            # the first is admitted (``_dispatch`` counts it before its
+            # first await) and the rest see the cap reached, since no
+            # worker reply can be scheduled before the next iteration.
             async with AsyncCertaintyServer(
-                num_shards=1, max_delay=5.0, max_in_flight=1
+                num_shards=1, max_in_flight=1
             ) as server:
                 await server.register("toy", _toy())
                 waiters = [
