@@ -34,7 +34,9 @@ the serving layer's shard workers) rely on these invariants:
   blocks, the refcount deltas, and the touched out-edge entries;
   ``commit()`` shallow-copies the base's index dicts (C-level copies,
   linear in *entries* but with no re-sorting, re-hashing, or Block
-  reconstruction outside touched blocks).
+  reconstruction outside touched blocks).  The committed instance's
+  active domain is lazy: ``adom()`` derives it from the refcounts on
+  first use, so a commit builds no domain frozenset.
 * **Commit is memoized and aliasing-safe.**  ``commit()`` returns the
   same instance object until the next edit, so the engine (which
   commits to key its state cache) and a registry holding the committed
@@ -252,7 +254,14 @@ class DeltaInstance:
 
     @property
     def facts(self) -> FrozenSet[Fact]:
-        return (self._base.facts - self._removed) | self._added
+        # One fact-set copy per nonempty side: a single-fact write copies
+        # the base's frozenset once, not twice.
+        facts = self._base.facts
+        if self._removed:
+            facts = facts - self._removed
+        if self._added:
+            facts = facts | self._added
+        return facts
 
     def adom(self) -> FrozenSet[Hashable]:
         base_adom = self._base.adom()
@@ -310,10 +319,13 @@ class DeltaInstance:
     def commit(self) -> DatabaseInstance:
         """Freeze the overlay into a :class:`DatabaseInstance`.
 
-        The base's block map, outgoing-edge index, domain and refcounts
-        are shallow-copied and only the entries for touched blocks are
+        The base's block map, outgoing-edge index and refcounts are
+        shallow-copied and only the entries for touched blocks are
         rebuilt, so commit cost is O(delta) block work on top of the
-        C-level dict copies (no per-fact re-sorting or re-hashing).
+        C-level dict copies (no per-fact re-sorting or re-hashing).  The
+        active domain is not built here: the committed instance derives
+        it from the patched refcounts when :meth:`DatabaseInstance.adom`
+        is first called.
 
         The result is memoized until the next edit, so committing the
         same overlay twice (the engine commits inside ``solve_delta``;
@@ -348,11 +360,10 @@ class DeltaInstance:
                 refcounts[constant] = count
             else:
                 refcounts.pop(constant, None)
-        adom = frozenset(refcounts)
         committed = DatabaseInstance._from_parts(
             facts=facts,
             blocks=blocks,
-            adom=adom,
+            adom=None,
             out_index=out_index,
             refcounts=refcounts,
         )

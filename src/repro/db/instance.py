@@ -130,7 +130,7 @@ class DatabaseInstance:
             blocks[block_id] = block
             out_index[(block_id[1], block_id[0])] = block.facts
         self._blocks = blocks
-        self._adom: FrozenSet[Hashable] = frozenset(adom)
+        self._adom: Optional[FrozenSet[Hashable]] = frozenset(adom)
         self._out_index = out_index
         self._hash: Optional[int] = None
         self._sorted_adom: Optional[Tuple[Hashable, ...]] = None
@@ -142,14 +142,16 @@ class DatabaseInstance:
         cls,
         facts: FrozenSet[Fact],
         blocks: Dict[BlockId, Block],
-        adom: FrozenSet[Hashable],
+        adom: Optional[FrozenSet[Hashable]],
         out_index: Dict[Tuple[Hashable, str], Tuple[Fact, ...]],
         refcounts: Optional[Dict[Hashable, int]] = None,
     ) -> "DatabaseInstance":
         """Assemble an instance from prebuilt structures without the O(db)
         re-indexing pass.  Used by :class:`repro.db.delta.DeltaInstance` to
         commit O(delta)-patched copies of an existing instance's indexes;
-        callers are responsible for the structures being consistent."""
+        callers are responsible for the structures being consistent.
+        *adom* may be ``None``: :meth:`adom` then derives it on first use
+        (from *refcounts* when given, else from the facts)."""
         instance = cls.__new__(cls)
         instance._facts = facts
         instance._blocks = blocks
@@ -237,7 +239,14 @@ class DatabaseInstance:
     # ------------------------------------------------------------------
 
     def adom(self) -> FrozenSet[Hashable]:
-        """``adom(db)``: the active domain (all constants occurring)."""
+        """``adom(db)``: the active domain (all constants occurring).
+
+        Overlay commits leave it unset and it is derived here, once, from
+        the refcounts: a write stream that never asks for the domain
+        never pays the O(adom) frozenset build.
+        """
+        if self._adom is None:
+            self._adom = frozenset(self.adom_refcounts())
         return self._adom
 
     def sorted_adom(self) -> Tuple[Hashable, ...]:
@@ -249,7 +258,7 @@ class DatabaseInstance:
         instead of per call keeps repeated probes O(1) after the first.
         """
         if self._sorted_adom is None:
-            self._sorted_adom = tuple(sorted(self._adom, key=str))
+            self._sorted_adom = tuple(sorted(self.adom(), key=str))
         return self._sorted_adom
 
     def adom_refcounts(self) -> Dict[Hashable, int]:

@@ -18,18 +18,22 @@ This module turns the journal into a seam:
   (:meth:`~JournalStore.residents`), the shard's high-water sequence
   (:meth:`~JournalStore.last_seq`), and where every durable resident
   lives (:meth:`~JournalStore.placements` -- the server's cold-start
-  routing table).
-* :class:`MemoryJournalStore` -- the status quo, behind the seam: plain
-  dicts, no durability, zero overhead.
+  routing table).  The store also keeps the RAM view every backend
+  shares: per resident the last folded snapshot plus a pending tail of
+  deltas.  An append only pushes onto the tail -- O(delta), no commit --
+  and the tail is folded into the snapshot, as one overlay with one
+  commit, by the first read or by compaction.  Write paths check
+  presence with :meth:`~JournalStore.has`, which never folds; callers
+  guard :meth:`~JournalStore.delta` with it.
+* :class:`MemoryJournalStore` -- the status quo, behind the seam: the
+  shared view, no durability, no serialization.
 * :class:`SqliteJournalStore` -- an append-only op log in a single
   sqlite file (stdlib :mod:`sqlite3`, no new dependencies).  Snapshots
-  and deltas are appended as pickled rows (the facts-only
-  :meth:`~repro.db.instance.DatabaseInstance.__reduce__` contract keeps
-  them process-portable); a RAM view of the folded snapshots keeps reads
-  off the disk path.  Every *compact_every* delta rows per resident the
-  log is **compacted**: the resident's rows are replaced by one snapshot
-  row holding the folded instance, so the log stays proportional to the
-  resident set, not to history.
+  (as fact columns, see :func:`_dumps_payload`) and deltas are appended
+  as pickled rows; the shared view keeps reads off the disk path.  Every *compact_every* delta rows per resident the log is
+  **compacted**: the resident's tail is folded and its rows are
+  replaced by one snapshot row holding the folded instance, so the log
+  stays proportional to the resident set, not to history.
 
 Appends are **idempotent**: a row whose sequence number is at or below
 the shard's high-water mark is a redelivery (the transport retried a
@@ -68,6 +72,8 @@ record payload truncated (5 of 7 bytes)
 >>> journal.register("toy", DatabaseInstance.from_triples([("R", 0, 1)]), seq=1)
 >>> sorted(journal.residents())
 ['toy']
+>>> journal.has("toy"), journal.has("ghost")
+(True, False)
 >>> journal.last_seq()
 1
 >>> make_journal_store("memory").kind
@@ -76,6 +82,8 @@ record payload truncated (5 of 7 bytes)
 
 from __future__ import annotations
 
+import copyreg
+import io
 import os
 import pickle
 import sqlite3
@@ -84,7 +92,7 @@ import threading
 import zlib
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.db.delta import Delta
+from repro.db.delta import Delta, DeltaInstance
 from repro.db.instance import DatabaseInstance
 
 #: Record header: little-endian payload length + crc32 of the payload.
@@ -129,6 +137,90 @@ def unpack_record(buffer: bytes, offset: int = 0) -> Tuple[bytes, int]:
     return data, end
 
 
+def _dumps_payload(obj) -> bytes:
+    """Pickle a log payload, with every snapshot as three fact columns.
+
+    The default pickle of a :class:`DatabaseInstance` reduces each
+    :class:`~repro.db.facts.Fact` object in turn; its relations, keys
+    and values as plain lists pickle several times faster and smaller.
+    Loading rebuilds the instance through :func:`_from_columns`, and
+    rows holding default-pickled instances still load.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = _PAYLOAD_REDUCERS
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+def _columns(db: DatabaseInstance):
+    facts = db.facts
+    return (
+        _from_columns,
+        (
+            [fact.relation for fact in facts],
+            [fact.key for fact in facts],
+            [fact.value for fact in facts],
+        ),
+    )
+
+
+def _from_columns(relations, keys, values) -> DatabaseInstance:
+    return DatabaseInstance.from_triples(zip(relations, keys, values))
+
+
+_PAYLOAD_REDUCERS = copyreg.dispatch_table.copy()
+_PAYLOAD_REDUCERS[DatabaseInstance] = _columns
+
+
+class _Resident:
+    """One resident in the shared RAM view: its last folded snapshot plus
+    the pending tail of :class:`~repro.db.delta.Delta`\\ s appended since.
+
+    Appends only push onto the tail (O(delta)); :meth:`fold` turns the
+    tail into one overlay with one commit, on the first read or at
+    compaction.
+    """
+
+    __slots__ = ("snapshot", "tail", "logged")
+
+    def __init__(self, snapshot: DatabaseInstance) -> None:
+        self.snapshot = snapshot
+        self.tail: List[Delta] = []
+        #: Delta records in the durable log since the resident's last
+        #: snapshot record -- the compaction trigger.
+        self.logged = 0
+
+    def push(self, delta: Delta) -> None:
+        self.tail.append(delta)
+        self.logged += 1
+
+    def fold(self) -> DatabaseInstance:
+        """The current snapshot, folding the pending tail first.
+
+        The overlay goes over a compact-free twin of the snapshot: on the
+        thread transport the snapshot may be the core's own instance,
+        whose compact view a commit would otherwise patch and keep alive
+        -- and the journal never runs kernels.
+        """
+        if self.tail:
+            base = self.snapshot
+            if base._compact is not None:
+                base = DatabaseInstance._from_parts(
+                    base._facts,
+                    base._blocks,
+                    base._adom,
+                    base._out_index,
+                    base._refcounts,
+                )
+            overlay = DeltaInstance(base)
+            for delta in self.tail:
+                overlay.apply(delta)
+            self.snapshot = overlay.commit()
+            self.tail = []
+        return self.snapshot
+
+
 class JournalStore:
     """The seam between the serving layer and resident durability.
 
@@ -141,14 +233,74 @@ class JournalStore:
     means unstamped: always applied, never replay-protected).  A stamped
     append with ``seq <= last_seq(shard)`` is a redelivery and must be
     ignored.
+
+    The base class keeps the RAM view every backend shares -- per
+    resident the last folded snapshot plus a pending tail of deltas (see
+    :class:`_Resident`), per shard the high-water mark -- with the write
+    path and the reads over it.  A backend adds only its durable append
+    (:meth:`_log`), its replay, and its compaction
+    (:meth:`_compact_resident`, due every *compact_every* appends to one
+    resident).  Appends never commit; the tail is folded into the
+    snapshot by the first read (:meth:`get`, :meth:`residents`,
+    :meth:`read_snapshot`) or by compaction.
     """
 
     #: Short name surfaced in stats (``"memory"``, ``"sqlite"``).
     kind = "abstract"
 
+    #: Appends to one resident between compactions.
+    compact_every = 64
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._views: Dict[int, Dict[str, _Resident]] = {}
+        self._seqs: Dict[int, int] = {}
+        self._ops = 0
+        self._compactions = 0
+        #: Ops dropped by torn-tail recovery on this open.
+        self._truncated_ops = 0
+
     def shard(self, shard_id: int) -> "ShardJournal":
         """A view of this store bound to one shard."""
         return ShardJournal(self, shard_id)
+
+    # -- backend hooks (called under ``_lock``) -----------------------
+
+    def _log(self, shard_id, seq, name, kind, obj) -> None:
+        """Make one op durable: *kind* is ``snapshot`` (*obj* an
+        instance), ``delta`` (*obj* a delta) or ``seal`` (no *obj*).
+        The memory store keeps nothing."""
+
+    def _compact_resident(self, shard_id: int, name: str) -> None:
+        """Fold the resident's tail and reset its ``logged`` count; a
+        durable backend also rewrites its log rows as one snapshot."""
+        resident = self._views[shard_id][name]
+        resident.fold()
+        resident.logged = 0
+
+    def _log_rows(self) -> int:
+        return 0
+
+    # -- the shared view -----------------------------------------------
+
+    def _replayed(self, shard_id, seq, name, kind, obj) -> None:
+        """Apply one op a backend read back from its log: a snapshot
+        becomes the resident, a delta goes onto its tail (no commit), a
+        seal only moves the high-water."""
+        if kind == "snapshot":
+            self._views.setdefault(shard_id, {})[name] = _Resident(obj)
+        elif kind == "delta":
+            self._views[shard_id][name].push(obj)
+        if seq > self._seqs.get(shard_id, 0):
+            self._seqs[shard_id] = seq
+
+    def _redelivered(self, shard_id: int, seq: int) -> bool:
+        return bool(seq) and seq <= self._seqs.get(shard_id, 0)
+
+    def _bump(self, shard_id: int, seq: int) -> None:
+        self._ops += 1
+        if seq > self._seqs.get(shard_id, 0):
+            self._seqs[shard_id] = seq
 
     # -- writes --------------------------------------------------------
 
@@ -161,7 +313,12 @@ class JournalStore:
     ) -> None:
         """Record a registration: *db* becomes *name*'s snapshot,
         superseding any earlier ops for the name."""
-        raise NotImplementedError
+        with self._lock:
+            if self._redelivered(shard_id, seq):
+                return
+            self._log(shard_id, seq, name, "snapshot", db)
+            self._views.setdefault(shard_id, {})[name] = _Resident(db)
+            self._bump(shard_id, seq)
 
     def delta(
         self, shard_id: int, name: str, delta: Delta, seq: int = 0
@@ -169,9 +326,24 @@ class JournalStore:
         """Append a forwarded delta against *name*'s current snapshot.
 
         Raises :class:`KeyError` if the name was never registered on the
-        shard -- callers guard with :meth:`get`.
+        shard -- callers guard with :meth:`has`.  A failed append leaves
+        no trace, not even an empty shard.
         """
-        raise NotImplementedError
+        with self._lock:
+            if self._redelivered(shard_id, seq):
+                return
+            resident = self._views.get(shard_id, {}).get(name)
+            if resident is None:
+                raise KeyError(
+                    "shard {} journal has no resident {!r}".format(
+                        shard_id, name
+                    )
+                )
+            self._log(shard_id, seq, name, "delta", delta)
+            resident.push(delta)
+            self._bump(shard_id, seq)
+            if resident.logged >= self.compact_every:
+                self._compact_resident(shard_id, name)
 
     def seal(self, shard_id: int, seq: int) -> None:
         """Advance the shard's high-water mark to *seq* without an op.
@@ -183,26 +355,47 @@ class JournalStore:
         redelivery guard after the first).  A seal at or below the
         current high-water is a no-op.
         """
-        raise NotImplementedError
+        with self._lock:
+            if seq > self._seqs.get(shard_id, 0):
+                self._log(shard_id, seq, "", "seal", None)
+                self._seqs[shard_id] = seq
 
     # -- reads ---------------------------------------------------------
 
+    def has(self, shard_id: int, name: str) -> bool:
+        """Whether *name* is a resident of the shard.  Unlike :meth:`get`
+        this never folds, so a write path can check presence per op."""
+        with self._lock:
+            return name in self._views.get(shard_id, {})
+
     def get(self, shard_id: int, name: str) -> Optional[DatabaseInstance]:
         """The current folded snapshot of *name*, or ``None``."""
-        raise NotImplementedError
+        with self._lock:
+            resident = self._views.get(shard_id, {}).get(name)
+            return resident.fold() if resident is not None else None
 
     def residents(self, shard_id: int) -> Dict[str, DatabaseInstance]:
         """Every resident of the shard with its folded snapshot (a copy)."""
-        raise NotImplementedError
+        with self._lock:
+            return {
+                name: resident.fold()
+                for name, resident in self._views.get(shard_id, {}).items()
+            }
 
     def last_seq(self, shard_id: int) -> int:
         """The shard's high-water sequence number (0 when empty)."""
-        raise NotImplementedError
+        with self._lock:
+            return self._seqs.get(shard_id, 0)
 
     def placements(self) -> Dict[str, int]:
         """name -> shard for every durable resident: the cold-start
         routing table a reopened server pins before serving."""
-        raise NotImplementedError
+        with self._lock:
+            return {
+                name: shard_id
+                for shard_id, shard in sorted(self._views.items())
+                for name in shard
+            }
 
     def read_snapshot(
         self, shard_id: int, name: str
@@ -216,8 +409,22 @@ class JournalStore:
     # -- maintenance ---------------------------------------------------
 
     def compact(self, shard_id: Optional[int] = None) -> int:
-        """Fold delta rows into snapshot rows; returns residents compacted."""
-        return 0
+        """Compact every resident with appends since its last compaction
+        (on *shard_id* only, when given); returns how many there were."""
+        with self._lock:
+            targets = [
+                (sid, name)
+                for sid, shard in self._views.items()
+                if shard_id is None or sid == shard_id
+                for name, resident in shard.items()
+                if resident.logged > 0
+            ]
+            for sid, name in targets:
+                # A backend may compact a whole shard at once, which
+                # resets the shard's other targets too.
+                if self._views[sid][name].logged > 0:
+                    self._compact_resident(sid, name)
+            return len(targets)
 
     def close(self) -> None:
         """Release resources; further writes may fail."""
@@ -231,7 +438,16 @@ class JournalStore:
 
     def health(self) -> dict:
         """Plain-data vitals for ``stats()`` / ``serve --stats``."""
-        raise NotImplementedError
+        with self._lock:
+            return {
+                "store": self.kind,
+                "residents": sum(map(len, self._views.values())),
+                "shards": len(self._views),
+                "ops": self._ops,
+                "log_rows": self._log_rows(),
+                "compactions": self._compactions,
+                "truncated_ops": self._truncated_ops,
+            }
 
 
 class ShardJournal:
@@ -260,6 +476,9 @@ class ShardJournal:
     def seal(self, seq: int) -> None:
         self.store.seal(self.shard_id, seq)
 
+    def has(self, name: str) -> bool:
+        return self.store.has(self.shard_id, name)
+
     def get(self, name: str) -> Optional[DatabaseInstance]:
         return self.store.get(self.shard_id, name)
 
@@ -276,86 +495,16 @@ class ShardJournal:
 
 
 class MemoryJournalStore(JournalStore):
-    """The PR 5 journal behind the seam: folded snapshots in RAM.
+    """The PR 5 journal behind the seam: the shared RAM view alone.
 
     No durability -- a server restart starts empty -- but also no
     serialization and no disk in the write path, which keeps the default
-    transports exactly as cheap as before the seam existed.
+    transports exactly as cheap as before the seam existed.  With no log
+    to compact, "compaction" every *compact_every* appends to a resident
+    only folds its tail, which bounds the tail.
     """
 
     kind = "memory"
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._snapshots: Dict[int, Dict[str, DatabaseInstance]] = {}
-        self._seqs: Dict[int, int] = {}
-        self._ops = 0
-
-    def register(self, shard_id, name, db, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            self._snapshots.setdefault(shard_id, {})[name] = db
-            self._bump(shard_id, seq)
-
-    def delta(self, shard_id, name, delta, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            shard = self._snapshots.setdefault(shard_id, {})
-            base = shard.get(name)
-            if base is None:
-                raise KeyError(
-                    "shard {} journal has no resident {!r}".format(
-                        shard_id, name
-                    )
-                )
-            shard[name] = delta.apply_to(base).commit()
-            self._bump(shard_id, seq)
-
-    def seal(self, shard_id, seq):
-        with self._lock:
-            if seq > self._seqs.get(shard_id, 0):
-                self._seqs[shard_id] = seq
-
-    def _bump(self, shard_id: int, seq: int) -> None:
-        self._ops += 1
-        if seq > self._seqs.get(shard_id, 0):
-            self._seqs[shard_id] = seq
-
-    def get(self, shard_id, name):
-        with self._lock:
-            return self._snapshots.get(shard_id, {}).get(name)
-
-    def residents(self, shard_id):
-        with self._lock:
-            return dict(self._snapshots.get(shard_id, {}))
-
-    def last_seq(self, shard_id):
-        with self._lock:
-            return self._seqs.get(shard_id, 0)
-
-    def placements(self):
-        with self._lock:
-            return {
-                name: shard_id
-                for shard_id, shard in sorted(self._snapshots.items())
-                for name in shard
-            }
-
-    def health(self):
-        with self._lock:
-            return {
-                "store": self.kind,
-                "residents": sum(
-                    len(shard) for shard in self._snapshots.values()
-                ),
-                "shards": len(self._snapshots),
-                "ops": self._ops,
-                "log_rows": 0,
-                "compactions": 0,
-                "truncated_ops": 0,
-            }
 
 
 class SqliteJournalStore(JournalStore):
@@ -364,8 +513,8 @@ class SqliteJournalStore(JournalStore):
     Log format (table ``journal``): one row per op, in append order
     (``id`` is the rowid), each carrying the shard, the op's sequence
     number, the resident name, the row kind, and a **framed** payload --
-    the pickled object wrapped by :func:`pack_record`, so every row
-    carries its own length and crc32:
+    the pickled object (:func:`_dumps_payload`) wrapped by
+    :func:`pack_record`, so every row carries its own length and crc32:
 
     * ``kind='snapshot'`` -- a facts-only
       :class:`~repro.db.instance.DatabaseInstance` (a registration, or
@@ -374,17 +523,19 @@ class SqliteJournalStore(JournalStore):
     * ``kind='seal'`` -- a high-water advance with no payload (see
       :meth:`JournalStore.seal`).
 
-    Reopening a path replays the log in append order to rebuild the RAM
-    view of folded snapshots -- reads (:meth:`get`, :meth:`residents`)
-    never touch the disk after that.  Replay is **defensive**: a record
-    that fails its checksum, a row sqlite cannot read back (a truncated
-    file loses whole pages), or an unreadable schema truncates the log
-    at the first bad record -- the intact prefix is kept (rewritten to a
-    fresh file when the old one is damaged), ``last_seq`` is re-derived
-    from it, and the dropped tail is counted as ``truncated_ops`` in
-    :meth:`health`.  A registration deletes the name's earlier rows (the
-    snapshot supersedes them), and after *compact_every* delta rows
-    against one resident the resident's rows are folded into a single
+    Reopening a path replays the log in append order to rebuild the
+    shared RAM view -- snapshot rows become snapshots, delta rows are
+    pushed onto their resident's tail -- and reads (:meth:`get`,
+    :meth:`residents`) never touch the disk after that.  Replay is
+    **defensive**: a record that fails its checksum, a row sqlite cannot
+    read back (a truncated file loses whole pages), or an unreadable
+    schema truncates the log at the first bad record -- the intact
+    prefix is kept (rewritten to a fresh file when the old one is
+    damaged), ``last_seq`` is re-derived from it, and the dropped tail
+    is counted as ``truncated_ops`` in :meth:`health`.  A registration
+    deletes the name's earlier rows (the snapshot supersedes them), and
+    after *compact_every* delta rows against one resident the
+    resident's tail is folded and its rows are replaced by a single
     snapshot row stamped with the shard's high-water sequence, so log
     length tracks the resident set, not history.  All methods serialize
     on one lock around one connection (``check_same_thread=False``),
@@ -406,21 +557,18 @@ class SqliteJournalStore(JournalStore):
             ON journal (shard, name);
     """
 
+    # The write path is the base class's, bound in this class's own
+    # namespace too, so instrumentation that wraps methods by class
+    # ``__dict__`` (timing sqlite appends, say) finds them here.
+    register = JournalStore.register
+    delta = JournalStore.delta
+
     def __init__(self, path, compact_every: int = 64) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
+        super().__init__()
         self.path = str(path)
         self.compact_every = compact_every
-        self._lock = threading.RLock()
-        self._snapshots: Dict[int, Dict[str, DatabaseInstance]] = {}
-        self._seqs: Dict[int, int] = {}
-        #: Delta rows in the log per (shard, name) since its last
-        #: snapshot row -- the compaction trigger.
-        self._pending: Dict[tuple, int] = {}
-        self._ops = 0
-        self._compactions = 0
-        #: Ops dropped by torn-tail recovery on this open.
-        self._truncated_ops = 0
         self._conn = None
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
@@ -433,10 +581,10 @@ class SqliteJournalStore(JournalStore):
         self._replay()
 
     def _replay(self) -> None:
-        """Rebuild the RAM view by folding the log in append order.
+        """Rebuild the RAM view from the log, in append order.
 
-        Recovery contract: the log is folded up to the first record that
-        cannot be read back intact (checksum mismatch, torn frame,
+        Recovery contract: the log is replayed up to the first record
+        that cannot be read back intact (checksum mismatch, torn frame,
         unreadable row pages); everything from that record on is dropped
         and counted, and a damaged file is rewritten from the intact
         prefix so the next append lands on a sound log.
@@ -446,17 +594,7 @@ class SqliteJournalStore(JournalStore):
             self._truncated_ops += dropped
             self._rebuild(rows)
         for shard_id, seq, name, kind, obj, _data in rows:
-            shard = self._snapshots.setdefault(shard_id, {})
-            if kind == "snapshot":
-                shard[name] = obj
-                self._pending[(shard_id, name)] = 0
-            elif kind == "delta":
-                shard[name] = obj.apply_to(shard[name]).commit()
-                key = (shard_id, name)
-                self._pending[key] = self._pending.get(key, 0) + 1
-            # kind == "seal": no payload, only the seq bump below.
-            if seq > self._seqs.get(shard_id, 0):
-                self._seqs[shard_id] = seq
+            self._replayed(shard_id, seq, name, kind, obj)
 
     def _scan_log(self):
         """Read back every intact record: ``(rows, dropped, damaged)``.
@@ -537,132 +675,50 @@ class SqliteJournalStore(JournalStore):
         )
         self._conn.commit()
 
-    # -- writes --------------------------------------------------------
+    # -- the backend hooks ---------------------------------------------
 
-    def register(self, shard_id, name, db, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            payload = pack_record(
-                pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            # The fresh snapshot supersedes every earlier op for the name.
+    def _log(self, shard_id, seq, name, kind, obj):
+        if kind == "snapshot":
+            # The snapshot supersedes every earlier row for the name.
             self._conn.execute(
                 "DELETE FROM journal WHERE shard = ? AND name = ?",
                 (shard_id, name),
             )
-            self._conn.execute(
-                "INSERT INTO journal (shard, seq, name, kind, payload) "
-                "VALUES (?, ?, ?, 'snapshot', ?)",
-                (shard_id, seq, name, payload),
-            )
-            self._conn.commit()
-            self._snapshots.setdefault(shard_id, {})[name] = db
-            self._pending[(shard_id, name)] = 0
-            self._bump(shard_id, seq)
+        payload = b"" if obj is None else _dumps_payload(obj)
+        self._insert(shard_id, seq, name, kind, pack_record(payload))
+        self._conn.commit()
 
-    def delta(self, shard_id, name, delta, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            base = self._snapshots.get(shard_id, {}).get(name)
-            if base is None:
-                raise KeyError(
-                    "shard {} journal has no resident {!r}".format(
-                        shard_id, name
-                    )
-                )
-            payload = pack_record(
-                pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            self._conn.execute(
-                "INSERT INTO journal (shard, seq, name, kind, payload) "
-                "VALUES (?, ?, ?, 'delta', ?)",
-                (shard_id, seq, name, payload),
-            )
-            self._conn.commit()
-            self._snapshots[shard_id][name] = delta.apply_to(base).commit()
-            self._bump(shard_id, seq)
-            key = (shard_id, name)
-            self._pending[key] = self._pending.get(key, 0) + 1
-            if self._pending[key] >= self.compact_every:
-                self._compact_resident(shard_id, name)
-
-    def seal(self, shard_id, seq):
-        with self._lock:
-            if seq <= self._seqs.get(shard_id, 0):
-                return
-            self._conn.execute(
-                "INSERT INTO journal (shard, seq, name, kind, payload) "
-                "VALUES (?, ?, '', 'seal', ?)",
-                (shard_id, seq, pack_record(b"")),
-            )
-            self._conn.commit()
-            self._seqs[shard_id] = seq
-
-    def _bump(self, shard_id: int, seq: int) -> None:
-        self._ops += 1
-        if seq > self._seqs.get(shard_id, 0):
-            self._seqs[shard_id] = seq
+    def _insert(self, shard_id, seq, name, kind, payload) -> None:
+        self._conn.execute(
+            "INSERT INTO journal (shard, seq, name, kind, payload) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (shard_id, seq, name, kind, payload),
+        )
 
     def _compact_resident(self, shard_id: int, name: str) -> None:
-        """Replace the resident's log rows with one folded snapshot row.
+        """Fold the resident's tail and replace its log rows with one
+        snapshot row.
 
         The snapshot row is stamped with the shard's high-water sequence
         -- the folded state is exactly the state "as of" that sequence,
         and reopening the log must recover the same :meth:`last_seq`.
         """
-        db = self._snapshots[shard_id][name]
-        payload = pack_record(
-            pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
+        resident = self._views[shard_id][name]
+        self._log(
+            shard_id,
+            self._seqs.get(shard_id, 0),
+            name,
+            "snapshot",
+            resident.fold(),
         )
-        self._conn.execute(
-            "DELETE FROM journal WHERE shard = ? AND name = ?",
-            (shard_id, name),
-        )
-        self._conn.execute(
-            "INSERT INTO journal (shard, seq, name, kind, payload) "
-            "VALUES (?, ?, ?, 'snapshot', ?)",
-            (shard_id, self._seqs.get(shard_id, 0), name, payload),
-        )
-        self._conn.commit()
-        self._pending[(shard_id, name)] = 0
+        resident.logged = 0
         self._compactions += 1
 
-    # -- reads ---------------------------------------------------------
-
-    def get(self, shard_id, name):
-        with self._lock:
-            return self._snapshots.get(shard_id, {}).get(name)
-
-    def residents(self, shard_id):
-        with self._lock:
-            return dict(self._snapshots.get(shard_id, {}))
-
-    def last_seq(self, shard_id):
-        with self._lock:
-            return self._seqs.get(shard_id, 0)
-
-    def placements(self):
-        with self._lock:
-            return {
-                name: shard_id
-                for shard_id, shard in sorted(self._snapshots.items())
-                for name in shard
-            }
+    def _log_rows(self) -> int:
+        (count,) = self._conn.execute("SELECT COUNT(*) FROM journal").fetchone()
+        return count
 
     # -- maintenance ---------------------------------------------------
-
-    def compact(self, shard_id=None):
-        with self._lock:
-            targets = [
-                key
-                for key, pending in self._pending.items()
-                if pending > 0 and (shard_id is None or key[0] == shard_id)
-            ]
-            for key in targets:
-                self._compact_resident(*key)
-            return len(targets)
 
     def close(self):
         with self._lock:
@@ -673,30 +729,13 @@ class SqliteJournalStore(JournalStore):
         """Append a record that fails its checksum (chaos hook): the
         next reopen of this path exercises torn-tail recovery for real."""
         with self._lock:
-            self._conn.execute(
-                "INSERT INTO journal (shard, seq, name, kind, payload) "
-                "VALUES (?, 0, '', 'delta', ?)",
-                (shard_id, _FRAME.pack(2 ** 20, 0) + b"torn"),
+            self._insert(
+                shard_id, 0, "", "delta", _FRAME.pack(2 ** 20, 0) + b"torn"
             )
             self._conn.commit()
 
     def health(self):
-        with self._lock:
-            (log_rows,) = self._conn.execute(
-                "SELECT COUNT(*) FROM journal"
-            ).fetchone()
-            return {
-                "store": self.kind,
-                "path": self.path,
-                "residents": sum(
-                    len(shard) for shard in self._snapshots.values()
-                ),
-                "shards": len(self._snapshots),
-                "ops": self._ops,
-                "log_rows": log_rows,
-                "compactions": self._compactions,
-                "truncated_ops": self._truncated_ops,
-            }
+        return dict(super().health(), path=self.path)
 
 
 #: Built-in stores selectable by name (CLI ``serve --journal``).  The

@@ -84,6 +84,7 @@ from repro.serving.journal import (
     _FRAME,
     JOURNAL_STORES,
     JournalStore,
+    _dumps_payload,
     make_journal_store,
     pack_record,
     unpack_record,
@@ -231,14 +232,15 @@ class KVJournalStore(JournalStore):
     records (:func:`~repro.serving.journal.pack_record`), each framing a
     pickled ``(seq, name, kind, obj)`` tuple with the same three kinds
     as the sqlite log (``snapshot`` / ``delta`` / ``seal``).  Replay
-    folds each log front to back into the RAM view; the first record
+    reads each log front to back into the shared RAM view (delta
+    records go onto their resident's pending tail); the first record
     that fails its checksum or frame truncates the log there (the
     intact prefix is written back with ``set``) and counts one
     ``truncated_ops`` -- a byte stream cannot enumerate what the torn
     tail destroyed, so the count is a floor.  After *compact_every*
-    delta records against one resident the shard's log is rewritten as
-    one snapshot record per resident, stamped with the shard's
-    high-water sequence.
+    delta records against one resident the shard's residents are
+    folded and its log is rewritten as one snapshot record per
+    resident, stamped with the shard's high-water sequence.
     """
 
     kind = "kv"
@@ -246,16 +248,10 @@ class KVJournalStore(JournalStore):
     def __init__(self, backend: KVBackend, compact_every: int = 64) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
+        super().__init__()
         self.backend = backend
         self.compact_every = compact_every
-        self._lock = threading.RLock()
-        self._snapshots: Dict[int, Dict[str, object]] = {}
-        self._seqs: Dict[int, int] = {}
-        self._pending: Dict[tuple, int] = {}
         self._rows: Dict[int, int] = {}
-        self._ops = 0
-        self._compactions = 0
-        self._truncated_ops = 0
         self._replay()
 
     @staticmethod
@@ -271,7 +267,6 @@ class KVJournalStore(JournalStore):
             except ValueError:
                 continue
             buffer = self.backend.get(key) or b""
-            shard = self._snapshots.setdefault(shard_id, {})
             offset = 0
             while offset < len(buffer):
                 try:
@@ -282,122 +277,36 @@ class KVJournalStore(JournalStore):
                     self.backend.set(key, buffer[:offset])
                     self._truncated_ops += 1
                     break
-                if kind == "snapshot":
-                    shard[name] = obj
-                    self._pending[(shard_id, name)] = 0
-                elif kind == "delta":
-                    shard[name] = obj.apply_to(shard[name]).commit()
-                    pkey = (shard_id, name)
-                    self._pending[pkey] = self._pending.get(pkey, 0) + 1
-                # kind == "seal": only the seq bump below.
-                if seq > self._seqs.get(shard_id, 0):
-                    self._seqs[shard_id] = seq
+                self._replayed(shard_id, seq, name, kind, obj)
                 self._rows[shard_id] = self._rows.get(shard_id, 0) + 1
                 offset = end
 
-    def _append(self, shard_id, seq, name, kind, obj) -> None:
-        data = pickle.dumps(
-            (seq, name, kind, obj), protocol=pickle.HIGHEST_PROTOCOL
-        )
+    # -- the backend hooks ---------------------------------------------
+
+    def _log(self, shard_id, seq, name, kind, obj):
+        data = _dumps_payload((seq, name, kind, obj))
         self.backend.append(self._key(shard_id), pack_record(data))
         self._rows[shard_id] = self._rows.get(shard_id, 0) + 1
 
-    def _bump(self, shard_id: int, seq: int) -> None:
-        self._ops += 1
-        if seq > self._seqs.get(shard_id, 0):
-            self._seqs[shard_id] = seq
-
-    # -- writes --------------------------------------------------------
-
-    def register(self, shard_id, name, db, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            self._append(shard_id, seq, name, "snapshot", db)
-            self._snapshots.setdefault(shard_id, {})[name] = db
-            self._pending[(shard_id, name)] = 0
-            self._bump(shard_id, seq)
-
-    def delta(self, shard_id, name, delta, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            base = self._snapshots.get(shard_id, {}).get(name)
-            if base is None:
-                raise KeyError(
-                    "shard {} journal has no resident {!r}".format(
-                        shard_id, name
-                    )
-                )
-            self._append(shard_id, seq, name, "delta", delta)
-            self._snapshots[shard_id][name] = delta.apply_to(base).commit()
-            self._bump(shard_id, seq)
-            key = (shard_id, name)
-            self._pending[key] = self._pending.get(key, 0) + 1
-            if self._pending[key] >= self.compact_every:
-                self._compact_shard(shard_id)
-
-    def seal(self, shard_id, seq):
-        with self._lock:
-            if seq <= self._seqs.get(shard_id, 0):
-                return
-            self._append(shard_id, seq, "", "seal", None)
-            self._seqs[shard_id] = seq
-
-    # -- reads ---------------------------------------------------------
-
-    def get(self, shard_id, name):
-        with self._lock:
-            return self._snapshots.get(shard_id, {}).get(name)
-
-    def residents(self, shard_id):
-        with self._lock:
-            return dict(self._snapshots.get(shard_id, {}))
-
-    def last_seq(self, shard_id):
-        with self._lock:
-            return self._seqs.get(shard_id, 0)
-
-    def placements(self):
-        with self._lock:
-            return {
-                name: shard_id
-                for shard_id, shard in sorted(self._snapshots.items())
-                for name in shard
-            }
-
-    # -- maintenance ---------------------------------------------------
-
-    def _compact_shard(self, shard_id: int) -> None:
-        """Rewrite the shard's log as one stamped snapshot per resident."""
+    def _compact_resident(self, shard_id: int, name: str) -> None:
+        """Fold every resident of the shard and rewrite the shard's log
+        as one snapshot record each, stamped with its high-water seq."""
         seq = self._seqs.get(shard_id, 0)
-        frames = []
-        for name, db in self._snapshots.get(shard_id, {}).items():
-            frames.append(
-                pack_record(
-                    pickle.dumps(
-                        (seq, name, "snapshot", db),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-            )
+        residents = self._views[shard_id]
+        frames = [
+            pack_record(_dumps_payload((seq, name, "snapshot", r.fold())))
+            for name, r in residents.items()
+        ]
         self.backend.set(self._key(shard_id), b"".join(frames))
         self._rows[shard_id] = len(frames)
-        for key in list(self._pending):
-            if key[0] == shard_id:
-                self._pending[key] = 0
+        for resident in residents.values():
+            resident.logged = 0
         self._compactions += 1
 
-    def compact(self, shard_id=None):
-        with self._lock:
-            targets = [
-                key
-                for key, pending in self._pending.items()
-                if pending > 0 and (shard_id is None or key[0] == shard_id)
-            ]
-            for sid in sorted({key[0] for key in targets}):
-                self._compact_shard(sid)
-            return len(targets)
+    def _log_rows(self) -> int:
+        return sum(self._rows.values())
+
+    # -- maintenance ---------------------------------------------------
 
     def close(self):
         self.backend.close()
@@ -411,19 +320,7 @@ class KVJournalStore(JournalStore):
             )
 
     def health(self):
-        with self._lock:
-            return {
-                "store": self.kind,
-                "backend": self.backend.kind,
-                "residents": sum(
-                    len(shard) for shard in self._snapshots.values()
-                ),
-                "shards": len(self._snapshots),
-                "ops": self._ops,
-                "log_rows": sum(self._rows.values()),
-                "compactions": self._compactions,
-                "truncated_ops": self._truncated_ops,
-            }
+        return dict(super().health(), backend=self.backend.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +341,7 @@ class ReplicatedJournalStore(JournalStore):
     length is bounded by the worst replica lag.
 
     Writes retry through failover (see the module docstring); reads
-    (:meth:`get` / :meth:`residents` / :meth:`last_seq` /
+    (:meth:`has` / :meth:`get` / :meth:`residents` / :meth:`last_seq` /
     :meth:`placements`) do the same, so a dead primary is transparent
     to the serving layer while any follower survives.
     :meth:`read_snapshot` -- the PR 7 degraded-read path -- instead
@@ -692,6 +589,9 @@ class ReplicatedJournalStore(JournalStore):
                     raise
                 except Exception as exc:
                     self._failover(exc)
+
+    def has(self, shard_id, name):
+        return self._read(lambda store: store.has(shard_id, name))
 
     def get(self, shard_id, name):
         return self._read(lambda store: store.get(shard_id, name))

@@ -443,10 +443,7 @@ class ThreadTransport(ShardTransport):
                 continue
             if request.op == "register":
                 self.journal.register(request.name, request.db, request.seq)
-            elif (
-                request.op == "delta"
-                and self.journal.get(request.name) is not None
-            ):
+            elif request.op == "delta" and self.journal.has(request.name):
                 # An unknown-name delta fails without applying; its seq
                 # can still sit below the batch's final high-water, so
                 # the resident check (not the seq) excludes it here.
@@ -923,10 +920,7 @@ class ProcessTransport(ShardTransport):
         for request in requests:
             if request.op == "register":
                 self.journal.register(request.name, request.db, request.seq)
-            elif (
-                request.op == "delta"
-                and self.journal.get(request.name) is not None
-            ):
+            elif request.op == "delta" and self.journal.has(request.name):
                 # Unknown names are not journaled: the child will fail
                 # the op without applying it.
                 self.journal.delta(request.name, request.delta, request.seq)

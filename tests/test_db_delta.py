@@ -11,10 +11,12 @@ constants leaving and re-entering the domain, insert/remove round-trips).
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db.delta import Delta, DeltaInstance
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
+from repro.serving.transport import _decode_snapshot, _encode_snapshot
 
 ALPHABET = ["R", "S", "X"]
 
@@ -224,3 +226,73 @@ class TestCommitIdentity:
         overlay.remove_fact(Fact("R", 0, 1))
         overlay.insert_fact(Fact("R", 0, 1))
         assert overlay.commit() is base
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis properties: commits build no domain, yet read like fresh ones.
+# ---------------------------------------------------------------------------
+
+facts_strategy = st.builds(
+    Fact,
+    st.sampled_from(ALPHABET),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=5),
+)
+
+deltas_strategy = st.builds(
+    lambda removes, inserts: Delta(tuple(removes), tuple(inserts)),
+    st.lists(facts_strategy, max_size=4),
+    st.lists(facts_strategy, max_size=4),
+)
+
+
+def assert_reads_like(db: DatabaseInstance, fresh: DatabaseInstance):
+    """The lazily derived domain and the rest of the public surface of
+    *db* match *fresh*; ``sorted_adom`` is asked first so it, not
+    ``adom``, is what derives the domain."""
+    assert db.sorted_adom() == fresh.sorted_adom()
+    assert db.adom() == fresh.adom()
+    assert db.adom_refcounts() == fresh.adom_refcounts()
+    assert db.facts == fresh.facts
+    assert hash(db) == hash(fresh)
+    assert db == fresh
+
+
+class TestLazyDomainProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(facts_strategy, max_size=12),
+        st.lists(deltas_strategy, min_size=1, max_size=8),
+    )
+    def test_committed_stream_matches_fresh(self, initial, deltas):
+        db = DatabaseInstance(initial)
+        current = set(initial)
+        for delta in deltas:
+            db = delta.apply_to(db).commit()
+            current = (current - set(delta.removes)) | set(delta.inserts)
+            assert_reads_like(db, DatabaseInstance(current))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(facts_strategy, max_size=12), st.booleans())
+    def test_from_parts_without_adom(self, facts, with_refcounts):
+        fresh = DatabaseInstance(facts)
+        rebuilt = DatabaseInstance._from_parts(
+            fresh.facts,
+            dict(fresh._blocks),
+            None,
+            dict(fresh._out_index),
+            dict(fresh.adom_refcounts()) if with_refcounts else None,
+        )
+        assert_reads_like(rebuilt, fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(facts_strategy, max_size=12),
+        st.lists(deltas_strategy, max_size=4),
+    )
+    def test_decoded_snapshot_matches_fresh(self, initial, deltas):
+        db = DatabaseInstance(initial)
+        for delta in deltas:
+            db = delta.apply_to(db).commit()
+        decoded = _decode_snapshot(_encode_snapshot(db))
+        assert_reads_like(decoded, DatabaseInstance(db.facts))

@@ -7,15 +7,21 @@ over the memory, sqlite, kv (both backends), and replicated stores.
 Sqlite-only tests cover what makes that backend the durable one:
 reopening a path restores the state, compaction bounds the log without
 changing it, and torn-tail recovery truncates a damaged log at the
-first bad record while counting the loss.
+first bad record while counting the loss.  A differential suite pins
+the lazily folded view every store shares against an eager commit
+chain, and pins appends to O(delta): no commit until a read or a
+compaction folds the tail.
 """
 
+import pickle
+import random
 import sqlite3
+import sys
 import threading
 
 import pytest
 
-from repro.db.delta import Delta
+from repro.db.delta import Delta, DeltaInstance
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
 from repro.serving.journal import (
@@ -24,6 +30,7 @@ from repro.serving.journal import (
     MemoryJournalStore,
     SqliteJournalStore,
     make_journal_store,
+    pack_record,
 )
 from repro.serving.replication import (
     FileKV,
@@ -187,6 +194,78 @@ class TestJournalContract:
             assert len(db.facts) == 1 + writes
             assert store.last_seq(shard_id) == 1 + writes
 
+    def test_has_checks_presence(self, store):
+        assert not store.has(0, "toy")
+        store.register(0, "toy", _db(("R", 0, 1)), seq=1)
+        assert store.has(0, "toy")
+        assert not store.has(1, "toy")
+        assert store.shard(0).has("toy")
+
+    def test_failed_delta_creates_no_shard(self, store):
+        with pytest.raises(KeyError):
+            store.delta(0, "ghost", _delta(inserts=[("R", 0, 1)]), seq=1)
+        health = store.health()
+        assert (health["shards"], health["residents"]) == (0, 0)
+        assert store.placements() == {}
+        assert store.last_seq(0) == 0
+
+    def test_folds_drop_the_compact_view(self, store):
+        # On the thread transport the journal holds the core's own
+        # instance, whose compact view the core built; the journal never
+        # runs kernels, so its folds must not patch that view forward.
+        db = _db(("R", 0, 1), ("R", 1, 2))
+        view = db.compact()
+        store.register(0, "toy", db, seq=1)
+        store.delta(0, "toy", _delta(inserts=[("X", 2, 3)]), seq=2)
+        folded = store.get(0, "toy")
+        assert folded == _db(("R", 0, 1), ("R", 1, 2), ("X", 2, 3))
+        assert folded._compact is None
+        assert db._compact is view  # the registered instance is untouched
+
+    def test_reads_fold_while_writers_append(self, store):
+        # Reads fold tails in place, so readers and writers of one shard
+        # contend for the same residents; the store lock must keep every
+        # append.  A short switch interval forces interleavings.
+        writes, errors = 40, []
+        names = ["w-0", "w-1"]
+        for name in names:
+            store.register(0, name, _db(("R", 0, 1)), seq=0)
+        done = threading.Event()
+
+        def writer(name):
+            try:
+                for i in range(writes):
+                    store.delta(0, name, _delta(inserts=[("X", i, i + 1)]))
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        def reader():
+            try:
+                while not done.is_set():
+                    store.residents(0)
+                    store.get(0, names[0])
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            writers = [threading.Thread(target=writer, args=(n,)) for n in names]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert errors == []
+        for name in names:
+            assert len(store.get(0, name).facts) == 1 + writes
+
     def test_health_is_plain_data(self, store):
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         health = store.health()
@@ -248,6 +327,29 @@ class TestSqliteDurability:
         assert store.health()["log_rows"] == 2  # one snapshot row each
         assert store.get(0, "a") == _db(("R", 0, 1), ("X", 1, 2))
         store.close()
+
+    def test_default_pickled_snapshots_still_load(self, tmp_path):
+        # Snapshot rows are written as fact columns; a row holding a
+        # default-pickled instance (an older log) must replay as well.
+        path = tmp_path / "journal.db"
+        store = SqliteJournalStore(path)
+        store.register(0, "columns", _db(("S", 0, 1)), seq=1)
+        store.close()
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "INSERT INTO journal (shard, seq, name, kind, payload) "
+            "VALUES (0, 2, 'default', 'snapshot', ?)",
+            (pack_record(pickle.dumps(_db(("R", 0, 1), ("R", 1, 2)))),),
+        )
+        conn.commit()
+        conn.close()
+        reopened = SqliteJournalStore(path)
+        try:
+            assert reopened.get(0, "columns") == _db(("S", 0, 1))
+            assert reopened.get(0, "default") == _db(("R", 0, 1), ("R", 1, 2))
+            assert reopened.last_seq(0) == 2
+        finally:
+            reopened.close()
 
     def test_compact_every_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -362,6 +464,202 @@ class TestTornTailRecovery:
             assert store.residents(0) == {}
             store.register(0, "toy", _db(("R", 0, 1)), seq=1)
             assert store.get(0, "toy") == _db(("R", 0, 1))
+        finally:
+            store.close()
+
+
+# ---------------------------------------------------------------------------
+# The lazy fold, differentially: every read equals an eager commit chain.
+# ---------------------------------------------------------------------------
+
+#: A small compaction interval so the interleavings cross it often.
+COMPACT_EVERY = 3
+
+LAZY_KINDS = ["memory", "sqlite", "kv", "replicated"]
+
+
+def _open(kind, tmp_path):
+    """``(store, reopen)``: *reopen(store)* closes the store and returns
+    one replayed from the same durable state -- a restart.  A memory
+    store has no durable state and survives its "restart" unchanged."""
+    if kind == "memory":
+        return MemoryJournalStore(), lambda s: s
+    if kind == "sqlite":
+        path = tmp_path / "lazy.db"
+
+        def reopen(s):
+            s.close()
+            return SqliteJournalStore(path, compact_every=COMPACT_EVERY)
+
+        return SqliteJournalStore(path, compact_every=COMPACT_EVERY), reopen
+    if kind == "kv":
+        backend = MemoryKV()
+        return (
+            KVJournalStore(backend, compact_every=COMPACT_EVERY),
+            lambda s: KVJournalStore(backend, compact_every=COMPACT_EVERY),
+        )
+    path = tmp_path / "primary.db"
+
+    def replicated():
+        # Store instances are not owned: reopen closes the primary itself.
+        return ReplicatedJournalStore(
+            SqliteJournalStore(path, compact_every=COMPACT_EVERY),
+            (MemoryJournalStore(),),
+            ship_every=2,
+        )
+
+    def reopen(s):
+        s.close()
+        s.primary.close()
+        return replicated()
+
+    return replicated(), reopen
+
+
+class _EagerModel:
+    """The reference: every delta committed at once, one per append."""
+
+    NAMES = ("a", "b", "c")
+    SHARDS = (0, 1)
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.dbs = {shard_id: {} for shard_id in self.SHARDS}
+        self.seqs = {shard_id: 0 for shard_id in self.SHARDS}
+
+    def random_db(self):
+        return _db(*(self.random_triple() for _ in range(self.rng.randint(0, 4))))
+
+    def random_triple(self):
+        rng = self.rng
+        return (rng.choice("RSX"), rng.randint(0, 4), rng.randint(0, 4))
+
+    def random_delta(self, db):
+        rng = self.rng
+        present = sorted(db.facts)
+        removes = rng.sample(present, min(len(present), rng.randint(0, 2)))
+        inserts = [Fact(*self.random_triple()) for _ in range(rng.randint(0, 2))]
+        return Delta(tuple(removes), tuple(inserts))
+
+    def check(self, store):
+        for shard_id in self.SHARDS:
+            expected = self.dbs[shard_id]
+            assert store.last_seq(shard_id) == self.seqs[shard_id]
+            assert store.residents(shard_id) == expected
+            for name in self.NAMES:
+                assert store.has(shard_id, name) == (name in expected)
+                assert store.get(shard_id, name) == expected.get(name)
+                assert store.read_snapshot(shard_id, name) == expected.get(name)
+        assert store.placements() == {
+            name: shard_id
+            for shard_id, dbs in self.dbs.items()
+            for name in dbs
+        }
+        health = store.health()
+        assert health["residents"] == sum(map(len, self.dbs.values()))
+        assert health["shards"] == sum(1 for dbs in self.dbs.values() if dbs)
+
+
+def _run_interleaving(kind, seed, tmp_path):
+    rng = random.Random(seed)
+    store, reopen = _open(kind, tmp_path)
+    model = _EagerModel(rng)
+    try:
+        for _step in range(40):
+            shard_id = rng.choice(model.SHARDS)
+            name = rng.choice(model.NAMES)
+            dbs = model.dbs[shard_id]
+            op = rng.choice(
+                ["register", "deltas", "deltas", "deltas", "compact",
+                 "reopen", "tear", "redeliver"]
+            )
+            seq = model.seqs[shard_id] + 1
+            if op == "register" or (op == "deltas" and name not in dbs):
+                db = model.random_db()
+                store.register(shard_id, name, db, seq=seq)
+                dbs[name] = db
+                model.seqs[shard_id] = seq
+            elif op == "deltas":
+                # A burst of appends with no read in between grows the
+                # pending tails past the compaction interval.
+                for _ in range(rng.randint(1, 2 * COMPACT_EVERY + 1)):
+                    target = rng.choice(sorted(dbs))
+                    delta = model.random_delta(dbs[target])
+                    store.delta(shard_id, target, delta, seq=seq)
+                    dbs[target] = delta.apply_to(dbs[target]).commit()
+                    model.seqs[shard_id] = seq
+                    seq += 1
+            elif op == "compact":
+                store.compact(rng.choice([None, shard_id]))
+            elif op == "reopen":
+                store = reopen(store)
+            elif op == "tear":
+                # A crash mid-append: the torn record is the last one,
+                # so the restart drops it and loses nothing committed.
+                store.tear(shard_id)
+                store = reopen(store)
+            elif seq > 1:  # redeliver: a retried, already-journaled op
+                store.delta(
+                    shard_id, name, _delta(inserts=[("R", 9, 9)]), seq=seq - 1
+                )
+                store.register(shard_id, name, _db(("R", 8, 8)), seq=seq - 1)
+            if name not in dbs:
+                with pytest.raises(KeyError):
+                    store.delta(shard_id, name, _delta(), seq=seq + 100)
+            model.check(store)
+    finally:
+        store.close()
+
+
+class TestLazyFold:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", LAZY_KINDS)
+    def test_reads_match_an_eager_commit_chain(self, kind, seed, tmp_path):
+        _run_interleaving(kind, seed, tmp_path)
+
+    @pytest.fixture
+    def commits(self, monkeypatch):
+        """Every overlay committed while the test runs."""
+        committed = []
+        real_commit = DeltaInstance.commit
+        monkeypatch.setattr(
+            DeltaInstance,
+            "commit",
+            lambda overlay: committed.append(overlay) or real_commit(overlay),
+        )
+        return committed
+
+    @pytest.mark.parametrize("kind", LAZY_KINDS)
+    def test_appends_make_no_commits(self, kind, tmp_path, commits):
+        store, _reopen = _open(kind, tmp_path)
+        every = getattr(store, "primary", store).compact_every
+        try:
+            store.register(0, "toy", _db(("R", 0, 1)), seq=1)
+            for i in range(every - 1):
+                store.delta(0, "toy", _delta(inserts=[("X", i, i)]), seq=2 + i)
+                assert store.has(0, "toy")
+            assert commits == []
+            # The first read folds the whole tail: one overlay, one commit.
+            assert len(store.get(0, "toy").facts) == every
+            assert len(commits) == 1
+            assert store.get(0, "toy") is store.get(0, "toy")
+            assert len(commits) == 1
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("kind", LAZY_KINDS)
+    def test_the_interval_append_folds_once(self, kind, tmp_path, commits):
+        store, _reopen = _open(kind, tmp_path)
+        every = getattr(store, "primary", store).compact_every
+        try:
+            store.register(0, "toy", _db(("R", 0, 1)), seq=1)
+            for i in range(every):
+                store.delta(0, "toy", _delta(inserts=[("X", i, i)]), seq=2 + i)
+            # Compaction (or the memory store's tail bound) folded the
+            # tail in one commit; the read after it has nothing to fold.
+            assert len(commits) == 1
+            assert len(store.get(0, "toy").facts) == every + 1
+            assert len(commits) == 1
         finally:
             store.close()
 
